@@ -1,7 +1,7 @@
-// Golden-digest + differential harness for the FluidEngine rewrite
-// (ctest label: golden).
+// Golden-digest + differential harness for the FluidEngine rewrite and the
+// prediction models (ctest label: golden).
 //
-// Two layers of protection:
+// Three layers of protection:
 //   1. Checked-in FNV-1a digests of complete RunResults for the paper's
 //      figure/table configurations. ANY change to the simulator's numerics
 //      or event semantics — times, energies, per-SM counts, occupancy
@@ -13,6 +13,10 @@
 //      policies) asserting the SIMD path bit-identical to the scalar
 //      reference. There are NO tolerance exceptions; a failure prints the
 //      seed and a minimal repro plan.
+//   3. Checked-in digests of the Section V/VII predictions: every field of
+//      ConsolidationModel::predict and every DecisionEngine::decide estimate
+//      over a seeded battery of plans plus the benchmark's batch shapes. A
+//      speed-up of the models must leave every one of them unchanged.
 //
 // Updating a digest is a deliberate act: rerun with EWC_GOLDEN_OUT=<file>
 // (or read the failure message), verify the numeric change is intended, and
@@ -25,14 +29,19 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consolidate/decision.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/simd.hpp"
+#include "perf/consolidation_model.hpp"
+#include "power/trainer.hpp"
 #include "workloads/paper_configs.hpp"
+#include "workloads/rodinia_like.hpp"
 
 namespace ewc {
 namespace {
@@ -349,6 +358,213 @@ TEST_P(DifferentialFuzz, SimdBitIdenticalToScalar) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, DifferentialFuzz, ::testing::Range(0, 8));
+
+// ---- prediction digests ----------------------------------------------------
+
+void digest_prediction(Fnv1a& d, const perf::ConsolidationPrediction& p) {
+  d.i64(static_cast<std::int64_t>(p.type));
+  d.f64(p.kernel_time.seconds());
+  d.f64(p.h2d_time.seconds());
+  d.f64(p.d2h_time.seconds());
+  d.f64(p.total_time.seconds());
+  d.f64(p.execution_cycles);
+  d.i64(p.critical_sm);
+  d.u64(p.critical_sm_blocks.size());
+  for (int b : p.critical_sm_blocks) d.i64(b);
+  d.u64(p.per_instance.size());
+  for (const auto& i : p.per_instance) {
+    d.i64(i.instance_id);
+    d.str(i.kernel_name);
+    d.f64(i.kernel_time.seconds());
+  }
+}
+
+void digest_decision(Fnv1a& d, const consolidate::Decision& dec) {
+  d.i64(static_cast<std::int64_t>(dec.chosen));
+  d.u64(dec.estimates.size());
+  for (const auto& e : dec.estimates) {
+    d.i64(static_cast<std::int64_t>(e.which));
+    d.f64(e.time.seconds());
+    d.f64(e.energy.joules());
+    d.i64(e.feasible ? 1 : 0);
+    d.str(e.note);
+  }
+}
+
+/// A kernel the battery draws from, with its CPU profile when it has one.
+struct PoolKernel {
+  gpusim::KernelDesc gpu;
+  std::optional<cpusim::CpuTask> cpu;
+};
+
+std::vector<PoolKernel> prediction_pool() {
+  std::vector<PoolKernel> pool;
+  for (const auto& specs :
+       {workloads::enterprise_specs(), workloads::table1_specs()}) {
+    for (const auto& s : specs) pool.push_back({s.gpu, s.cpu});
+  }
+  for (const auto& k : workloads::rodinia_training_kernels()) {
+    pool.push_back({k, std::nullopt});
+  }
+  return pool;
+}
+
+/// One device's models, built the way `ewcsim serve` builds them.
+struct DeviceModels {
+  gpusim::FluidEngine engine;
+  perf::ConsolidationModel perf;
+  consolidate::DecisionEngine decision;
+};
+
+DeviceModels device_models(gpusim::FluidEngine engine) {
+  power::ModelTrainer trainer(engine);
+  auto power = trainer.train(workloads::rodinia_training_kernels()).model;
+  consolidate::DecisionEngine decision(engine.device(), std::move(power),
+                                       cpusim::CpuConfig{},
+                                       consolidate::FrameworkCosts{});
+  perf::ConsolidationModel perf(engine.device());
+  return {std::move(engine), std::move(perf), std::move(decision)};
+}
+
+/// Digest the prediction of `instances` (into `pd`) and the decision over
+/// them (into `dd`), with the backend's framework-overhead estimate.
+void digest_plan(const DeviceModels& m, const std::vector<PoolKernel>& kernels,
+                 bool reuse_constant_data, Fnv1a& pd, Fnv1a& dd,
+                 int* type1_plans = nullptr) {
+  gpusim::LaunchPlan plan;
+  plan.reuse_constant_data = reuse_constant_data;
+  std::vector<std::optional<cpusim::CpuTask>> profiles;
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    plan.instances.push_back(gpusim::KernelInstance{
+        kernels[i].gpu, static_cast<int>(i), "golden"});
+    profiles.push_back(kernels[i].cpu);
+    if (profiles.back()) profiles.back()->instance_id = static_cast<int>(i);
+  }
+  const auto pred = m.perf.predict(plan);
+  if (type1_plans != nullptr &&
+      pred.type == perf::ConsolidationType::kType1) {
+    ++*type1_plans;
+  }
+  digest_prediction(pd, pred);
+  consolidate::Optimizations opts;
+  opts.constant_data_reuse = reuse_constant_data;
+  const auto overhead =
+      m.decision.overhead(plan.instances,
+                          std::vector<std::size_t>(kernels.size(), 0),
+                          std::vector<int>(kernels.size(), 1), opts);
+  digest_decision(dd, m.decision.decide(plan, profiles, overhead));
+}
+
+struct PredictionDigest {
+  const char* name;
+  std::uint64_t expected;
+  std::uint64_t got;
+};
+
+void check_prediction_digests(const std::vector<PredictionDigest>& digests) {
+  const char* out_path = std::getenv("EWC_GOLDEN_OUT");
+  std::ofstream out;
+  if (out_path != nullptr) out.open(out_path, std::ios::app);
+  for (const auto& g : digests) {
+    if (out.is_open()) {
+      char line[96];
+      std::snprintf(line, sizeof line, "%s 0x%016llx\n", g.name,
+                    static_cast<unsigned long long>(g.got));
+      out << line;
+    }
+    EXPECT_EQ(g.got, g.expected)
+        << "golden prediction digest mismatch on '" << g.name << "': got 0x"
+        << std::hex << g.got << ", expected 0x" << g.expected << std::dec
+        << "\nThe prediction models must stay bit-identical; if the numeric "
+           "change is intentional, update the digest here.";
+  }
+}
+
+TEST(GoldenPredictions, SeededBatteryReproduces) {
+  const auto pool = prediction_pool();
+  const DeviceModels devices[] = {
+      device_models(gpusim::FluidEngine()),
+      device_models(
+          gpusim::FluidEngine(gpusim::fermi_c2050(), gpusim::c2050_energy()))};
+  Fnv1a predict_d[2];
+  Fnv1a decide_d[2];
+  int type1_plans = 0;
+  constexpr int kPlans = 1200;
+  for (int seed = 0; seed < kPlans; ++seed) {
+    common::Rng rng(0x9e3779b9ull + static_cast<std::uint64_t>(seed));
+    const int dev = seed % 2;
+    const bool reuse = rng.uniform(0.0, 1.0) < 0.5;
+    // Short plans dominate so both consolidation types stay well covered.
+    const int n = rng.uniform(0.0, 1.0) < 0.5
+                      ? 1 + static_cast<int>(rng.uniform_int(0, 3))
+                      : 1 + static_cast<int>(rng.uniform_int(0, 23));
+    std::vector<PoolKernel> kernels;
+    for (int j = 0; j < n; ++j) {
+      kernels.push_back(pool[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(pool.size()) - 1))]);
+    }
+    digest_plan(devices[dev], kernels, reuse, predict_d[dev], decide_d[dev],
+                &type1_plans);
+  }
+  // Both of the paper's consolidation types must be exercised.
+  EXPECT_GE(type1_plans, kPlans / 10);
+  EXPECT_LE(type1_plans, kPlans - kPlans / 10);
+  // The replay's corners (residency caps, footprints that fit no SM, many
+  // equal loads) on the differential fuzzer's randomized devices.
+  Fnv1a fuzz_d;
+  for (int seed = 0; seed < kPlans; ++seed) {
+    common::Rng rng(0x5eedull + static_cast<std::uint64_t>(seed));
+    const gpusim::DeviceConfig dev = fuzz_device(rng);
+    gpusim::LaunchPlan plan;
+    plan.reuse_constant_data = rng.uniform(0.0, 1.0) < 0.5;
+    const int n = 1 + static_cast<int>(rng.uniform_int(0, 23));
+    for (int j = 0; j < n; ++j) {
+      plan.instances.push_back(
+          gpusim::KernelInstance{fuzz_kernel(rng, j), j, ""});
+    }
+    if (plan.total_blocks() == 0) continue;
+    digest_prediction(fuzz_d, perf::ConsolidationModel(dev).predict(plan));
+  }
+  check_prediction_digests({
+      {"predict-battery-fuzz", 0xf580b50454eb9d1aull, fuzz_d.value()},
+      {"predict-battery-tesla", 0xd77df7c7e2dbfa00ull, predict_d[0].value()},
+      {"predict-battery-fermi", 0xf0393a61e6e28f6dull, predict_d[1].value()},
+      {"decide-battery-tesla", 0xefcfad3e20129e76ull, decide_d[0].value()},
+      {"decide-battery-fermi", 0xd6189088a1bc186aull, decide_d[1].value()},
+  });
+}
+
+TEST(GoldenPredictions, BenchmarkBatchShapesReproduce) {
+  const DeviceModels tesla = device_models(gpusim::FluidEngine());
+  const auto kernel = [](const workloads::InstanceSpec& s) {
+    return PoolKernel{s.gpu, s.cpu};
+  };
+  // The benchmark's 16-request batches: shard_heavy draws its four
+  // enterprise kernels at equal weight, shard_light encryption_6k and
+  // sorting_6k 2:1.
+  const PoolKernel heavy_mix[] = {
+      kernel(workloads::kmeans_256k()), kernel(workloads::sha256_64k()),
+      kernel(workloads::compression_64m()), kernel(workloads::encryption_6k())};
+  const PoolKernel light_mix[] = {kernel(workloads::encryption_6k()),
+                                  kernel(workloads::encryption_6k()),
+                                  kernel(workloads::sorting_6k())};
+  std::vector<PoolKernel> heavy;
+  std::vector<PoolKernel> light;
+  for (int i = 0; i < 16; ++i) {
+    heavy.push_back(heavy_mix[i % 4]);
+    light.push_back(light_mix[i % 3]);
+  }
+  Fnv1a heavy_p, heavy_d, light_p, light_d;
+  const bool reuse = consolidate::Optimizations{}.constant_data_reuse;
+  digest_plan(tesla, heavy, reuse, heavy_p, heavy_d);
+  digest_plan(tesla, light, reuse, light_p, light_d);
+  check_prediction_digests({
+      {"predict-shard-heavy", 0x2823b9c8619c8681ull, heavy_p.value()},
+      {"decide-shard-heavy", 0xca182c9147b3a947ull, heavy_d.value()},
+      {"predict-shard-light", 0xd42baf80cdab63ebull, light_p.value()},
+      {"decide-shard-light", 0xd0ed67372f28c342ull, light_d.value()},
+  });
+}
 
 }  // namespace
 }  // namespace ewc
