@@ -6,10 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "consolidate/backend.hpp"
+#include "consolidate/decision.hpp"
 #include "cpusim/engine.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/simd.hpp"
@@ -89,6 +92,73 @@ void BM_PerfPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PerfPredict)->Arg(2)->Arg(16)->Arg(64);
+
+/// The ewcd benchmark's 16-request batch shapes: shard_heavy draws its four
+/// enterprise kernels at equal weight, shard_light encryption_6k and
+/// sorting_6k 2:1.
+std::vector<workloads::InstanceSpec> batch_specs(bool heavy) {
+  const std::vector<workloads::InstanceSpec> mix =
+      heavy ? std::vector<workloads::InstanceSpec>{workloads::kmeans_256k(),
+                                                   workloads::sha256_64k(),
+                                                   workloads::compression_64m(),
+                                                   workloads::encryption_6k()}
+            : std::vector<workloads::InstanceSpec>{workloads::encryption_6k(),
+                                                   workloads::encryption_6k(),
+                                                   workloads::sorting_6k()};
+  std::vector<workloads::InstanceSpec> batch;
+  for (std::size_t i = 0; i < 16; ++i) batch.push_back(mix[i % mix.size()]);
+  return batch;
+}
+
+gpusim::LaunchPlan batch_plan(
+    const std::vector<workloads::InstanceSpec>& specs) {
+  gpusim::LaunchPlan plan;
+  plan.reuse_constant_data = consolidate::Optimizations{}.constant_data_reuse;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    plan.instances.push_back(
+        gpusim::KernelInstance{specs[i].gpu, static_cast<int>(i), ""});
+  }
+  return plan;
+}
+
+void BM_PerfPredictBatch(benchmark::State& state, bool heavy) {
+  perf::ConsolidationModel model;
+  const auto plan = batch_plan(batch_specs(heavy));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.predict(plan));
+  }
+}
+BENCHMARK_CAPTURE(BM_PerfPredictBatch, shard_heavy, true);
+
+// One DecisionEngine::decide per iteration, as the daemon's batch thread
+// runs it: trained power model, CPU profiles, no prediction cache.
+void BM_Decide(benchmark::State& state, bool heavy) {
+  static const power::GpuPowerModel power = [] {
+    gpusim::FluidEngine engine;
+    return power::ModelTrainer(engine)
+        .train(workloads::rodinia_training_kernels())
+        .model;
+  }();
+  const consolidate::BackendOptions defaults;
+  consolidate::DecisionEngine engine(gpusim::tesla_c1060(), power,
+                                     defaults.cpu_config, defaults.costs);
+  const auto specs = batch_specs(heavy);
+  const auto plan = batch_plan(specs);
+  std::vector<std::optional<cpusim::CpuTask>> profiles;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    profiles.emplace_back(specs[i].cpu);
+    profiles.back()->instance_id = static_cast<int>(i);
+  }
+  const auto overhead = engine.overhead(
+      plan.instances, std::vector<std::size_t>(specs.size(), 0),
+      std::vector<int>(specs.size(), 1), defaults.optimizations);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.decide(plan, profiles, overhead, defaults.policy));
+  }
+}
+BENCHMARK_CAPTURE(BM_Decide, shard_light, false);
+BENCHMARK_CAPTURE(BM_Decide, shard_heavy, true);
 
 void BM_PowerPredict(benchmark::State& state) {
   gpusim::FluidEngine engine;

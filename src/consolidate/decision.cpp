@@ -1,9 +1,11 @@
 #include "consolidate/decision.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/injector.hpp"
 #include "obs/histogram.hpp"
@@ -160,6 +162,8 @@ Decision DecisionEngine::decide(
 
   // (b) individual (serial) GPU execution. Each instance is predicted alone,
   // so the memo entry for a kernel shape is shared across batch positions.
+  // Within the batch each distinct shape is predicted once; the sums still
+  // run in batch order.
   const auto eval_individual = [&] {
     eb.which = Alternative::kIndividualGpu;
     Duration total = Duration::zero();
@@ -169,12 +173,20 @@ Decision DecisionEngine::decide(
     // fresh plan per candidate.
     gpusim::LaunchPlan single;
     single.instances.resize(1);
+    std::vector<std::pair<const gpusim::KernelDesc*, GpuPrediction>> shapes;
     for (const auto& inst : plan.instances) {
-      single.instances[0] = inst;
-      const auto p = predict_gpu(single, "decide-single",
-                                 /*include_instance_ids=*/false);
-      total += p.time;
-      energy += p.energy;
+      auto it = std::find_if(shapes.begin(), shapes.end(), [&](const auto& s) {
+        return gpusim::bit_identical(*s.first, inst.desc);
+      });
+      if (it == shapes.end()) {
+        single.instances[0] = inst;
+        shapes.emplace_back(&inst.desc,
+                            predict_gpu(single, "decide-single",
+                                        /*include_instance_ids=*/false));
+        it = std::prev(shapes.end());
+      }
+      total += it->second.time;
+      energy += it->second.energy;
     }
     eb.time = total;
     eb.energy = energy;
@@ -218,6 +230,7 @@ Decision DecisionEngine::decide(
     eval_individual();
     eval_cpu();
   }
+  d.estimates.reserve(3);
   d.estimates.push_back(std::move(ea));
   d.estimates.push_back(std::move(eb));
   d.estimates.push_back(std::move(ec));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "common/stats.hpp"
 #include "cpusim/engine.hpp"
@@ -40,6 +41,7 @@ QueueSimResult QueueSimulator::run(
   }
 
   QueueSimResult result;
+  result.outcomes.reserve(requests.size());
   const double idle_w =
       engine_.energy_config().system_idle_with_gpu.watts();
   const double gpu_idle_delta_w =
@@ -129,7 +131,7 @@ QueueSimResult QueueSimulator::run(
       if (!run_cache_) return fresh();
       const auto sig = gpusim::plan_signature_with_prefix(
           plan, run_key_prefix_, tag, /*include_instance_ids=*/true);
-      if (auto hit = run_cache_->get(sig)) return *hit;
+      if (auto hit = run_cache_->get(sig)) return std::move(*hit);
       gpusim::RunResult fresh_run = fresh();
       run_cache_->put(sig, fresh_run);
       return fresh_run;

@@ -1,6 +1,8 @@
 #include "gpusim/kernel_desc.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace ewc::gpusim {
 
@@ -15,6 +17,28 @@ InstructionMix InstructionMix::scaled(double factor) const {
   m.shared_accesses *= factor;
   m.const_accesses *= factor;
   return m;
+}
+
+bool bit_identical(const KernelDesc& a, const KernelDesc& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  const InstructionMix& m = a.mix;
+  const InstructionMix& n = b.mix;
+  return a.num_blocks == b.num_blocks &&
+         a.threads_per_block == b.threads_per_block &&
+         same(m.fp_insts, n.fp_insts) && same(m.int_insts, n.int_insts) &&
+         same(m.sfu_insts, n.sfu_insts) && same(m.sync_insts, n.sync_insts) &&
+         same(m.coalesced_mem_insts, n.coalesced_mem_insts) &&
+         same(m.uncoalesced_mem_insts, n.uncoalesced_mem_insts) &&
+         same(m.shared_accesses, n.shared_accesses) &&
+         same(m.const_accesses, n.const_accesses) &&
+         a.resources.registers_per_thread == b.resources.registers_per_thread &&
+         a.resources.shared_mem_per_block == b.resources.shared_mem_per_block &&
+         same(a.resources.constant_data.bytes(),
+              b.resources.constant_data.bytes()) &&
+         same(a.mlp, b.mlp) && same(a.h2d_bytes.bytes(), b.h2d_bytes.bytes()) &&
+         same(a.d2h_bytes.bytes(), b.d2h_bytes.bytes()) && a.name == b.name;
 }
 
 double KernelDesc::avg_tx_bytes(const DeviceConfig& dev) const {

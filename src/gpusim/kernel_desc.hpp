@@ -115,6 +115,10 @@ struct KernelDesc {
   KernelDesc with_work_scale(double factor) const;
 };
 
+/// True iff every field of `a` and `b` matches, doubles by IEEE-754 bit
+/// pattern: the models then compute bit-identical results for either.
+bool bit_identical(const KernelDesc& a, const KernelDesc& b);
+
 /// One runnable instance of a kernel (a user request in the ready state).
 struct KernelInstance {
   KernelDesc desc;

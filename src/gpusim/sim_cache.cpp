@@ -1,107 +1,105 @@
 #include "gpusim/sim_cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
+#include <type_traits>
 
 namespace ewc::gpusim {
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
+std::uint64_t key_hash(std::string_view s) {
+  // Four independent multiply-xor lanes over 8-byte words, so consecutive
+  // words do not wait on each other's multiply.
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  const auto mix = [](std::uint64_t h, std::uint64_t w) {
+    h = (h ^ w) * kMul;
+    return h ^ (h >> 32);
+  };
+  const auto load = [&](std::size_t at, std::size_t n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, s.data() + at, n);
+    return w;
+  };
+  std::uint64_t lane[4] = {0xcbf29ce484222325ull ^ (s.size() * kMul),
+                           0x84222325cbf29ce4ull, 0x243f6a8885a308d3ull,
+                           0x13198a2e03707344ull};
+  std::size_t i = 0;
+  for (; i + 32 <= s.size(); i += 32) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      lane[j] = mix(lane[j], load(i + 8 * j, 8));
+    }
   }
+  // Under 32 bytes remain: at most one more word per lane.
+  for (std::size_t j = 0; i < s.size(); i += 8, ++j) {
+    lane[j] = mix(lane[j], load(i, std::min<std::size_t>(8, s.size() - i)));
+  }
+  std::uint64_t h = mix(mix(mix(lane[0], lane[1]), lane[2]), lane[3]);
+  // Final avalanche (MurmurHash3's fmix64): every input bit reaches the low
+  // bits the hash table's bucket index is taken from.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
   return h;
 }
 
 namespace {
 
-/// Exact, locale-independent encoding of a double: the raw IEEE-754 bit
-/// pattern in hex. Distinguishes every value (negative zero, subnormals,
-/// NaN payloads) and is an order of magnitude faster than snprintf hexfloat,
-/// which matters because signatures are rebuilt on every lookup.
-void put(std::string& key, double v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  char buf[17];
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = kHex[bits & 0xF];
-    bits >>= 4;
+template <typename T>
+std::uint64_t word(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(static_cast<double>(v));
+  } else {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
   }
-  buf[16] = ',';
-  key.append(buf, sizeof buf);
 }
 
-void put(std::string& key, std::int64_t v) {
-  key += std::to_string(v);
-  key += ',';
+/// Appends each field as its raw 8 bytes: integers widened to 64 bits,
+/// doubles as their IEEE-754 pattern, which distinguishes every value
+/// (negative zero, subnormals, NaN payloads). Fixed width, so fields need no
+/// separators, and one append per call keeps the per-lookup rebuild cheap.
+template <typename... T>
+void put(std::string& key, T... v) {
+  const std::uint64_t words[] = {word(v)...};
+  key.append(reinterpret_cast<const char*>(words), sizeof words);
 }
 
 void append_device_config(std::string& key, const DeviceConfig& dev) {
-  put(key, static_cast<std::int64_t>(dev.num_sms));
-  put(key, static_cast<std::int64_t>(dev.sps_per_sm));
-  put(key, static_cast<std::int64_t>(dev.warp_size));
-  put(key, dev.shader_clock.hertz());
-  put(key, static_cast<std::int64_t>(dev.max_blocks_per_sm));
-  put(key, static_cast<std::int64_t>(dev.max_threads_per_sm));
-  put(key, static_cast<std::int64_t>(dev.max_warps_per_sm));
-  put(key, dev.registers_per_sm);
-  put(key, dev.shared_mem_per_sm);
-  put(key, dev.dram_bandwidth.bytes_per_second());
-  put(key, dev.dram_latency_cycles);
-  put(key, dev.coalesced_departure_cycles);
-  put(key, dev.uncoalesced_departure_cycles);
-  put(key, dev.coalesced_tx_bytes);
-  put(key, dev.uncoalesced_tx_bytes);
-  put(key, dev.memory_level_parallelism);
-  put(key, dev.uncoalesced_dram_efficiency);
-  put(key, dev.mixing_penalty_per_kernel);
-  put(key, dev.min_mixing_efficiency);
-  put(key, dev.pcie_h2d.bytes_per_second());
-  put(key, dev.pcie_d2h.bytes_per_second());
-  put(key, dev.transfer_latency.seconds());
-  put(key, dev.cycles_per_alu_warp_inst);
-  put(key, dev.cycles_per_sfu_warp_inst);
-  put(key, dev.barrier_cost_cycles);
-  put(key, static_cast<std::int64_t>(dev.dispatch_policy));
-  put(key, static_cast<std::int64_t>(dev.dispatch_seed));
+  put(key, dev.num_sms, dev.sps_per_sm, dev.warp_size,
+      dev.shader_clock.hertz(), dev.max_blocks_per_sm, dev.max_threads_per_sm,
+      dev.max_warps_per_sm, dev.registers_per_sm, dev.shared_mem_per_sm,
+      dev.dram_bandwidth.bytes_per_second(), dev.dram_latency_cycles,
+      dev.coalesced_departure_cycles, dev.uncoalesced_departure_cycles,
+      dev.coalesced_tx_bytes, dev.uncoalesced_tx_bytes,
+      dev.memory_level_parallelism, dev.uncoalesced_dram_efficiency,
+      dev.mixing_penalty_per_kernel, dev.min_mixing_efficiency,
+      dev.pcie_h2d.bytes_per_second(), dev.pcie_d2h.bytes_per_second(),
+      dev.transfer_latency.seconds(), dev.cycles_per_alu_warp_inst,
+      dev.cycles_per_sfu_warp_inst, dev.barrier_cost_cycles,
+      dev.dispatch_policy, dev.dispatch_seed);
 }
 
 void append_energy_config(std::string& key, const EnergyConfig& energy) {
-  put(key, energy.system_idle_with_gpu.watts());
-  put(key, energy.host_only_idle.watts());
-  put(key, energy.transfer_active_power.watts());
-  put(key, energy.fp_energy);
-  put(key, energy.int_energy);
-  put(key, energy.sfu_energy);
-  put(key, energy.coalesced_tx_energy);
-  put(key, energy.uncoalesced_tx_energy);
-  put(key, energy.shared_access_energy);
-  put(key, energy.const_access_energy);
-  put(key, energy.register_access_energy);
-  put(key, energy.thermal_tau_seconds);
-  put(key, energy.thermal_k_ss);
-  put(key, energy.leakage_w_per_kelvin);
+  put(key, energy.system_idle_with_gpu.watts(), energy.host_only_idle.watts(),
+      energy.transfer_active_power.watts(), energy.fp_energy,
+      energy.int_energy, energy.sfu_energy, energy.coalesced_tx_energy,
+      energy.uncoalesced_tx_energy, energy.shared_access_energy,
+      energy.const_access_energy, energy.register_access_energy,
+      energy.thermal_tau_seconds, energy.thermal_k_ss,
+      energy.leakage_w_per_kelvin);
 }
 
 void append_kernel(std::string& key, const KernelDesc& k) {
+  // The name goes last, length-prefixed: it may hold any byte.
+  put(key, k.name.size(), k.num_blocks, k.threads_per_block, k.mix.fp_insts,
+      k.mix.int_insts, k.mix.sfu_insts, k.mix.sync_insts,
+      k.mix.coalesced_mem_insts, k.mix.uncoalesced_mem_insts,
+      k.mix.shared_accesses, k.mix.const_accesses,
+      k.resources.registers_per_thread, k.resources.shared_mem_per_block,
+      k.resources.constant_data.bytes(), k.mlp, k.h2d_bytes.bytes(),
+      k.d2h_bytes.bytes());
   key += k.name;
-  key += ';';
-  put(key, static_cast<std::int64_t>(k.num_blocks));
-  put(key, static_cast<std::int64_t>(k.threads_per_block));
-  put(key, k.mix.fp_insts);
-  put(key, k.mix.int_insts);
-  put(key, k.mix.sfu_insts);
-  put(key, k.mix.sync_insts);
-  put(key, k.mix.coalesced_mem_insts);
-  put(key, k.mix.uncoalesced_mem_insts);
-  put(key, k.mix.shared_accesses);
-  put(key, k.mix.const_accesses);
-  put(key, static_cast<std::int64_t>(k.resources.registers_per_thread));
-  put(key, k.resources.shared_mem_per_block);
-  put(key, k.resources.constant_data.bytes());
-  put(key, k.mlp);
-  put(key, k.h2d_bytes.bytes());
-  put(key, k.d2h_bytes.bytes());
 }
 
 }  // namespace
@@ -110,14 +108,14 @@ std::uint64_t device_config_hash(const DeviceConfig& dev) {
   std::string key;
   key.reserve(512);
   append_device_config(key, dev);
-  return fnv1a(key);
+  return key_hash(key);
 }
 
 std::uint64_t energy_config_hash(const EnergyConfig& energy) {
   std::string key;
   key.reserve(256);
   append_energy_config(key, energy);
-  return fnv1a(key);
+  return key_hash(key);
 }
 
 std::string config_key_prefix(const DeviceConfig& dev,
@@ -126,6 +124,7 @@ std::string config_key_prefix(const DeviceConfig& dev,
   prefix.reserve(768);
   append_device_config(prefix, dev);
   prefix += '|';
+  put(prefix, energy != nullptr);
   if (energy != nullptr) append_energy_config(prefix, *energy);
   return prefix;
 }
@@ -135,20 +134,18 @@ PlanSignature plan_signature_with_prefix(const LaunchPlan& plan,
                                          std::string_view tag,
                                          bool include_instance_ids) {
   PlanSignature sig;
-  sig.key.reserve(64 + config_prefix.size() + 320 * plan.instances.size());
+  sig.key.reserve(64 + config_prefix.size() + 160 * plan.instances.size());
   sig.key += tag;
   sig.key += '|';
   sig.key += config_prefix;
   sig.key += '|';
-  put(sig.key, static_cast<std::int64_t>(plan.reuse_constant_data ? 1 : 0));
+  put(sig.key, plan.reuse_constant_data);
   for (const auto& inst : plan.instances) {
     sig.key += '|';
-    if (include_instance_ids) {
-      put(sig.key, static_cast<std::int64_t>(inst.instance_id));
-    }
+    if (include_instance_ids) put(sig.key, inst.instance_id);
     append_kernel(sig.key, inst.desc);
   }
-  sig.hash = fnv1a(sig.key);
+  sig.hash = key_hash(sig.key);
   return sig;
 }
 

@@ -4,11 +4,12 @@
 // a datacenter replay: the cache maps a *canonical launch-plan signature* —
 // kernel names, grid/block dims, resource usage, instruction mix, work
 // scale, device-config hash, energy-config hash and optimization flags — to
-// previously computed results. The signature's `key` is an exact textual
-// encoding (every double as its raw IEEE-754 bit pattern in hex), so two
-// requests share an entry only if the simulator would be handed bit-identical
-// inputs; a hit is therefore bit-identical to a fresh run. Entries are LRU-bounded and the cache keeps
-// hit / miss / eviction counters for `ewcsim cache-stats` reporting.
+// previously computed results. The signature's `key` is an exact binary
+// encoding (every field as its raw 8 bytes, doubles by IEEE-754 pattern,
+// names length-prefixed), so two requests share an entry only if the simulator
+// would be handed bit-identical inputs; a hit is therefore bit-identical to a
+// fresh run. Entries are LRU-bounded and the cache keeps hit / miss /
+// eviction counters for `ewcsim cache-stats` reporting.
 //
 // Invalidation is by construction: the device config and energy config are
 // part of the key, so changing either simply stops matching old entries
@@ -53,12 +54,14 @@ struct CacheStats {
 
 /// Canonical identity of one simulation/prediction request.
 struct PlanSignature {
-  std::uint64_t hash = 0;  ///< FNV-1a over `key`
+  std::uint64_t hash = 0;  ///< key_hash(key), computed once per signature
   std::string key;         ///< exact encoding; equality is collision-free
 };
 
-/// FNV-1a, the hash the signature uses (exposed for tests).
-std::uint64_t fnv1a(std::string_view s);
+/// The hash the signature uses (exposed for tests): a multiply-xor over
+/// 8-byte words with a final avalanche. Not stable across endianness; keys
+/// and hashes never leave the process.
+std::uint64_t key_hash(std::string_view s);
 
 /// Hash of every architectural field of a device config (the "device-config
 /// hash" part of the cache key).
@@ -114,31 +117,30 @@ class SimCache {
   /// Returns a copy of the cached value and refreshes its LRU position.
   std::optional<Value> get(const PlanSignature& sig) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(sig.key);
+    auto it = index_.find(IndexKey{sig.hash, sig.key});
     if (it == index_.end()) {
       ++misses_;
       return std::nullopt;
     }
     ++hits_;
     entries_.splice(entries_.begin(), entries_, it->second);
-    return entries_.front().second;
+    return entries_.front().value;
   }
 
   /// Inserts (or refreshes) `value`, evicting the least-recently-used entry
   /// once past capacity.
   void put(const PlanSignature& sig, Value value) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(sig.key);
+    auto it = index_.find(IndexKey{sig.hash, sig.key});
     if (it != index_.end()) {
-      it->second->second = std::move(value);
+      it->second->value = std::move(value);
       entries_.splice(entries_.begin(), entries_, it->second);
       return;
     }
-    entries_.emplace_front(sig.key, std::move(value));
-    index_.emplace(std::string_view(entries_.front().first),
-                   entries_.begin());
+    entries_.push_front(Entry{sig.hash, sig.key, std::move(value)});
+    index_.emplace(IndexKey{sig.hash, entries_.front().key}, entries_.begin());
     if (entries_.size() > capacity_) {
-      index_.erase(std::string_view(entries_.back().first));
+      index_.erase(IndexKey{entries_.back().hash, entries_.back().key});
       entries_.pop_back();
       ++evictions_;
     }
@@ -161,13 +163,31 @@ class SimCache {
   }
 
  private:
-  using Entry = std::pair<std::string, Value>;
+  struct Entry {
+    std::uint64_t hash;
+    std::string key;
+    Value value;
+  };
+  /// Index key: the signature's precomputed hash plus a view of the full
+  /// key, so a lookup never rehashes the (multi-KB) key.
+  struct IndexKey {
+    std::uint64_t hash;
+    std::string_view key;
+    bool operator==(const IndexKey& o) const {
+      return hash == o.hash && key == o.key;
+    }
+  };
+  struct IndexHash {
+    std::size_t operator()(const IndexKey& k) const {
+      return static_cast<std::size_t>(k.hash);
+    }
+  };
 
   std::size_t capacity_;
   mutable std::mutex mu_;
   std::list<Entry> entries_;  ///< front = most recently used
   // Views point at the list entries' keys; list nodes never relocate.
-  std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
+  std::unordered_map<IndexKey, typename std::list<Entry>::iterator, IndexHash>
       index_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

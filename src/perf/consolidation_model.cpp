@@ -185,65 +185,105 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
   // SM while registers / shared memory / threads allow. Blocks that do not
   // fit anywhere are the "untouched" blocks the scheduler later redistributes
   // to whichever SM frees first — statically approximated by assigning them
-  // to the SM with the lightest solo-time load.
+  // to the SM with the lightest solo-time load (lowest index on a tie).
   struct SmLoad {
-    double solo_load = 0.0;  ///< solo-time load estimate, seconds
     double comp_cycles = 0.0;
     double stall_seconds = 0.0;  ///< serialized barrier-stall floor
     int threads = 0;
     int nblocks = 0;
     std::int64_t regs = 0;
     std::int64_t smem = 0;
-    std::vector<int> blocks;  ///< instance index per assigned block
   };
-  std::vector<SmLoad> sms(static_cast<std::size_t>(dev_.num_sms));
-  auto fits = [&](const SmLoad& sm, const gpusim::KernelDesc& k) {
-    if (sm.nblocks + 1 > dev_.max_blocks_per_sm) return false;
-    if (sm.threads + k.threads_per_block > dev_.max_threads_per_sm) return false;
-    const std::int64_t regs =
-        static_cast<std::int64_t>(k.resources.registers_per_thread) *
-        k.threads_per_block;
-    if (sm.regs + regs > dev_.registers_per_sm) return false;
-    if (sm.smem + k.resources.shared_mem_per_block > dev_.shared_mem_per_sm) {
-      return false;
+  /// A block's residency demand; nblocks (always one) is left implicit.
+  struct Footprint {
+    int threads = 0;
+    std::int64_t regs = 0;
+    std::int64_t smem = 0;
+    bool covers(const Footprint& o) const {
+      return threads >= o.threads && regs >= o.regs && smem >= o.smem;
     }
-    return true;
   };
+  const auto num_sms = static_cast<std::size_t>(dev_.num_sms);
+  std::vector<SmLoad> sms(num_sms);
+  auto fits = [&](const SmLoad& sm, const Footprint& f) {
+    return sm.nblocks + 1 <= dev_.max_blocks_per_sm &&
+           sm.threads + f.threads <= dev_.max_threads_per_sm &&
+           sm.regs + f.regs <= dev_.registers_per_sm &&
+           sm.smem + f.smem <= dev_.shared_mem_per_sm;
+  };
+
+  // Tournament (winner) tree over the SMs' solo-time loads: leaf s is SM s,
+  // and each inner node holds the lighter of its two children, the lower
+  // index on a tie (a left subtree always holds the lower indices). The root
+  // is the SM std::min_element over the loads would pick, and a load change
+  // replays the SM's log2(SMs) matches, branch-free. Padding leaves weigh
+  // +inf and never win.
+  std::size_t leaves = 1;
+  while (leaves < num_sms) leaves *= 2;
+  std::vector<double> load(leaves, std::numeric_limits<double>::infinity());
+  std::fill_n(load.begin(), num_sms, 0.0);
+  std::vector<std::uint32_t> winner(2 * leaves);
+  auto match = [&](std::size_t node) {
+    const std::uint32_t l = winner[2 * node];
+    const std::uint32_t r = winner[2 * node + 1];
+    winner[node] = load[r] < load[l] ? r : l;
+  };
+  for (std::size_t s = 0; s < leaves; ++s) {
+    winner[leaves + s] = static_cast<std::uint32_t>(s);
+  }
+  for (std::size_t node = leaves - 1; node > 0; --node) match(node);
+
+  // Residency only grows during the replay, so a footprint that fit no SM
+  // never fits later, and neither does any footprint covering it.
+  std::vector<Footprint> failed;
+  std::vector<int> block_sm;  ///< assigned SM per block, in grid order
+  block_sm.reserve(static_cast<std::size_t>(std::max(plan.total_blocks(), 0)));
   int rr = 0;
-  for (std::size_t i = 0; i < plan.instances.size(); ++i) {
-    const auto& k = plan.instances[i].desc;
+  for (const auto& inst : plan.instances) {
+    const auto& k = inst.desc;
     const double solo = analytic_.solo_block_time(k).seconds();
     const double warps = k.warps_per_block(dev_);
+    const double comp = k.warp_compute_cycles(dev_) * warps;
+    // Co-resident blocks stall concurrently; only serialized waves add.
+    const double stall = k.warp_stall_cycles(dev_) /
+                         (clock * max_resident_blocks(dev_, k));
+    const Footprint fp{
+        k.threads_per_block,
+        static_cast<std::int64_t>(k.resources.registers_per_thread) *
+            k.threads_per_block,
+        k.resources.shared_mem_per_block};
+    bool may_fit = std::none_of(
+        failed.begin(), failed.end(),
+        [&](const Footprint& f) { return fp.covers(f); });
     for (int b = 0; b < k.num_blocks; ++b) {
       int chosen = -1;
-      for (int probe = 0; probe < dev_.num_sms; ++probe) {
+      for (int probe = 0; may_fit && probe < dev_.num_sms; ++probe) {
         const int s = (rr + probe) % dev_.num_sms;
-        if (fits(sms[static_cast<std::size_t>(s)], k)) {
+        if (fits(sms[static_cast<std::size_t>(s)], fp)) {
           chosen = s;
           break;
         }
       }
-      SmLoad* sm;
       if (chosen >= 0) {
-        sm = &sms[static_cast<std::size_t>(chosen)];
-        sm->threads += k.threads_per_block;
-        sm->nblocks += 1;
-        sm->regs += static_cast<std::int64_t>(k.resources.registers_per_thread) *
-                    k.threads_per_block;
-        sm->smem += k.resources.shared_mem_per_block;
+        SmLoad& sm = sms[static_cast<std::size_t>(chosen)];
+        sm.threads += fp.threads;
+        sm.nblocks += 1;
+        sm.regs += fp.regs;
+        sm.smem += fp.smem;
         rr = (chosen + 1) % dev_.num_sms;
       } else {
-        sm = &*std::min_element(sms.begin(), sms.end(),
-                                [](const SmLoad& a, const SmLoad& b2) {
-                                  return a.solo_load < b2.solo_load;
-                                });
+        if (may_fit) failed.push_back(fp);
+        may_fit = false;
+        chosen = static_cast<int>(winner[1]);
       }
-      sm->solo_load += solo;
-      sm->comp_cycles += k.warp_compute_cycles(dev_) * warps;
-      // Co-resident blocks stall concurrently; only serialized waves add.
-      sm->stall_seconds += k.warp_stall_cycles(dev_) /
-                           (clock * max_resident_blocks(dev_, k));
-      sm->blocks.push_back(static_cast<int>(i));
+      const auto c = static_cast<std::size_t>(chosen);
+      load[c] += solo;
+      sms[c].comp_cycles += comp;
+      sms[c].stall_seconds += stall;
+      for (std::size_t node = (leaves + c) / 2; node > 0; node /= 2) {
+        match(node);
+      }
+      block_sm.push_back(chosen);
     }
   }
 
@@ -253,9 +293,17 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
   for (std::size_t s = 0; s < sms.size(); ++s) {
     comp_worst = std::max(
         comp_worst, std::max(sms[s].comp_cycles / clock, sms[s].stall_seconds));
-    if (sms[s].solo_load > load_worst) {
-      load_worst = sms[s].solo_load;
+    if (load[s] > load_worst) {
+      load_worst = load[s];
       critical = static_cast<int>(s);
+    }
+  }
+  std::size_t block = 0;
+  for (std::size_t i = 0; i < plan.instances.size(); ++i) {
+    for (int b = 0; b < plan.instances[i].desc.num_blocks; ++b) {
+      if (block_sm[block++] == critical) {
+        pred.critical_sm_blocks.push_back(static_cast<int>(i));
+      }
     }
   }
 
@@ -271,7 +319,6 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
 
   pred.kernel_time = Duration::from_seconds(worst);
   pred.critical_sm = critical;
-  pred.critical_sm_blocks = sms[static_cast<std::size_t>(critical)].blocks;
   pred.h2d_time = transfer_h2d(plan);
   pred.d2h_time = transfer_d2h(plan);
   pred.total_time = pred.h2d_time + pred.kernel_time + pred.d2h_time;
