@@ -17,6 +17,10 @@
 //      ConsolidationModel::predict and every DecisionEngine::decide estimate
 //      over a seeded battery of plans plus the benchmark's batch shapes. A
 //      speed-up of the models must leave every one of them unchanged.
+//   4. Checked-in digests of what the Backend reports and replies for
+//      seeded sequences of the benchmark's 16-request batches, with the
+//      daemon's backend recipe: a faster batch path (e.g. memoized engine
+//      runs) must leave every report and every reply unchanged.
 //
 // Updating a digest is a deliberate act: rerun with EWC_GOLDEN_OUT=<file>
 // (or read the failure message), verify the numeric change is intended, and
@@ -35,6 +39,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consolidate/backend.hpp"
 #include "consolidate/decision.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/simd.hpp"
@@ -455,13 +460,13 @@ void digest_plan(const DeviceModels& m, const std::vector<PoolKernel>& kernels,
   digest_decision(dd, m.decision.decide(plan, profiles, overhead));
 }
 
-struct PredictionDigest {
+struct NamedDigest {
   const char* name;
   std::uint64_t expected;
   std::uint64_t got;
 };
 
-void check_prediction_digests(const std::vector<PredictionDigest>& digests) {
+void check_digests(const std::vector<NamedDigest>& digests) {
   const char* out_path = std::getenv("EWC_GOLDEN_OUT");
   std::ofstream out;
   if (out_path != nullptr) out.open(out_path, std::ios::app);
@@ -473,10 +478,10 @@ void check_prediction_digests(const std::vector<PredictionDigest>& digests) {
       out << line;
     }
     EXPECT_EQ(g.got, g.expected)
-        << "golden prediction digest mismatch on '" << g.name << "': got 0x"
-        << std::hex << g.got << ", expected 0x" << g.expected << std::dec
-        << "\nThe prediction models must stay bit-identical; if the numeric "
-           "change is intentional, update the digest here.";
+        << "golden digest mismatch on '" << g.name << "': got 0x" << std::hex
+        << g.got << ", expected 0x" << g.expected << std::dec
+        << "\nThe models and the backend must stay bit-identical; if the "
+           "numeric change is intentional, update the digest here.";
   }
 }
 
@@ -525,7 +530,7 @@ TEST(GoldenPredictions, SeededBatteryReproduces) {
     if (plan.total_blocks() == 0) continue;
     digest_prediction(fuzz_d, perf::ConsolidationModel(dev).predict(plan));
   }
-  check_prediction_digests({
+  check_digests({
       {"predict-battery-fuzz", 0xf580b50454eb9d1aull, fuzz_d.value()},
       {"predict-battery-tesla", 0xd77df7c7e2dbfa00ull, predict_d[0].value()},
       {"predict-battery-fermi", 0xf0393a61e6e28f6dull, predict_d[1].value()},
@@ -558,11 +563,105 @@ TEST(GoldenPredictions, BenchmarkBatchShapesReproduce) {
   const bool reuse = consolidate::Optimizations{}.constant_data_reuse;
   digest_plan(tesla, heavy, reuse, heavy_p, heavy_d);
   digest_plan(tesla, light, reuse, light_p, light_d);
-  check_prediction_digests({
+  check_digests({
       {"predict-shard-heavy", 0x2823b9c8619c8681ull, heavy_p.value()},
       {"decide-shard-heavy", 0xca182c9147b3a947ull, heavy_d.value()},
       {"predict-shard-light", 0xd42baf80cdab63ebull, light_p.value()},
       {"decide-shard-light", 0xd0ed67372f28c342ull, light_d.value()},
+  });
+}
+
+// ---- Backend digests --------------------------------------------------------
+
+/// Push `batches` seeded 16-request batches drawn from `mix` (kernel, weight)
+/// through a Backend built the way `ewcsim serve` builds one: tesla engine,
+/// trained power model, paper templates plus an "experiment_mix" template
+/// over the mix, the mix's CPU profiles, threshold 16. Digests every reply
+/// (in delivery order) and then every BatchReport.
+std::uint64_t digest_backend(
+    const std::vector<std::pair<workloads::InstanceSpec, int>>& mix,
+    int batches, std::uint64_t seed) {
+  constexpr int kBatch = 16;
+  const gpusim::FluidEngine engine;
+  const auto power = power::ModelTrainer(engine)
+                         .train(workloads::rodinia_training_kernels())
+                         .model;
+  consolidate::BackendOptions options;
+  options.batch_threshold = kBatch;
+  auto templates = consolidate::TemplateRegistry::paper_defaults();
+  consolidate::ConsolidationTemplate t;
+  t.name = "experiment_mix";
+  std::vector<int> weighted;  // mix index, repeated by weight
+  for (std::size_t m = 0; m < mix.size(); ++m) {
+    t.kernels.insert(mix[m].first.gpu.name);
+    weighted.insert(weighted.end(), static_cast<std::size_t>(mix[m].second),
+                    static_cast<int>(m));
+  }
+  templates.add(std::move(t));
+  consolidate::Backend backend(engine, power, std::move(templates), options);
+  for (const auto& [spec, weight] : mix) {
+    backend.set_cpu_profile(spec.gpu.name, spec.cpu);
+  }
+
+  Fnv1a d;
+  common::Rng rng(seed);
+  auto replies = std::make_shared<consolidate::ReplyChannel>();
+  std::uint64_t next_id = 1;
+  for (int b = 0; b < batches; ++b) {
+    for (int i = 0; i < kBatch; ++i) {
+      consolidate::LaunchRequest req;
+      // Three sessions' owners, as the benchmark's clients send them.
+      req.owner = "golden-s" + std::to_string(rng.uniform_int(0, 2));
+      req.request_id = next_id++;
+      req.desc = mix[static_cast<std::size_t>(
+                         weighted[rng.pick_index(weighted.size())])]
+                     .first.gpu;
+      req.api_messages = 1;
+      req.reply = replies;
+      EXPECT_TRUE(backend.channel().send(std::move(req)));
+    }
+    for (int i = 0; i < kBatch; ++i) {
+      const auto reply =
+          replies->receive_for(common::Duration::from_seconds(60.0));
+      if (!reply.has_value()) {
+        ADD_FAILURE() << "no reply for batch " << b;
+        return 0;
+      }
+      d.u64(reply->request_id);
+      d.i64(static_cast<std::int64_t>(reply->where));
+      d.i64(reply->ok ? 1 : 0);
+      d.f64(reply->finish_time.seconds());
+    }
+  }
+  backend.shutdown();
+  const auto reports = backend.reports();
+  d.u64(reports.size());
+  for (const auto& r : reports) {
+    d.i64(static_cast<std::int64_t>(r.executed));
+    d.i64(r.consolidated_launches);
+    d.f64(r.overhead.seconds());
+    d.f64(r.execution_time.seconds());
+    d.f64(r.total_time.seconds());
+    d.f64(r.energy.joules());
+  }
+  return d.value();
+}
+
+TEST(GoldenBackend, BenchmarkBatchSequencesReproduce) {
+  // shard_heavy: four enterprise kernels at equal weight; shard_light:
+  // encryption_6k and sorting_6k 2:1 (the ewcd benchmark's mixes).
+  const std::uint64_t heavy = digest_backend(
+      {{workloads::kmeans_256k(), 1},
+       {workloads::sha256_64k(), 1},
+       {workloads::compression_64m(), 1},
+       {workloads::encryption_6k(), 1}},
+      240, 0xbacc0001ull);
+  const std::uint64_t light = digest_backend(
+      {{workloads::encryption_6k(), 2}, {workloads::sorting_6k(), 1}}, 240,
+      0xbacc0002ull);
+  check_digests({
+      {"backend-shard-heavy", 0x854a2a786d4156aeull, heavy},
+      {"backend-shard-light", 0xeea09baff02078f0ull, light},
   });
 }
 
