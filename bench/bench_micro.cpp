@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "common/rng.hpp"
 #include "consolidate/backend.hpp"
 #include "consolidate/decision.hpp"
 #include "cpusim/engine.hpp"
@@ -93,18 +94,22 @@ void BM_PerfPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_PerfPredict)->Arg(2)->Arg(16)->Arg(64);
 
-/// The ewcd benchmark's 16-request batch shapes: shard_heavy draws its four
-/// enterprise kernels at equal weight, shard_light encryption_6k and
-/// sorting_6k 2:1.
+/// The ewcd benchmark's mixes, one entry per unit of weight: shard_heavy
+/// draws its four enterprise kernels at equal weight, shard_light
+/// encryption_6k and sorting_6k 2:1.
+std::vector<workloads::InstanceSpec> mix_specs(bool heavy) {
+  return heavy ? std::vector<workloads::InstanceSpec>{workloads::kmeans_256k(),
+                                                      workloads::sha256_64k(),
+                                                      workloads::compression_64m(),
+                                                      workloads::encryption_6k()}
+               : std::vector<workloads::InstanceSpec>{workloads::encryption_6k(),
+                                                      workloads::encryption_6k(),
+                                                      workloads::sorting_6k()};
+}
+
+/// One fixed 16-request batch of each mix.
 std::vector<workloads::InstanceSpec> batch_specs(bool heavy) {
-  const std::vector<workloads::InstanceSpec> mix =
-      heavy ? std::vector<workloads::InstanceSpec>{workloads::kmeans_256k(),
-                                                   workloads::sha256_64k(),
-                                                   workloads::compression_64m(),
-                                                   workloads::encryption_6k()}
-            : std::vector<workloads::InstanceSpec>{workloads::encryption_6k(),
-                                                   workloads::encryption_6k(),
-                                                   workloads::sorting_6k()};
+  const std::vector<workloads::InstanceSpec> mix = mix_specs(heavy);
   std::vector<workloads::InstanceSpec> batch;
   for (std::size_t i = 0; i < 16; ++i) batch.push_back(mix[i % mix.size()]);
   return batch;
@@ -130,18 +135,24 @@ void BM_PerfPredictBatch(benchmark::State& state, bool heavy) {
 }
 BENCHMARK_CAPTURE(BM_PerfPredictBatch, shard_heavy, true);
 
-// One DecisionEngine::decide per iteration, as the daemon's batch thread
-// runs it: trained power model, CPU profiles, no prediction cache.
-void BM_Decide(benchmark::State& state, bool heavy) {
+/// The power model `ewcsim serve` trains, trained once per process.
+const power::GpuPowerModel& served_power_model() {
   static const power::GpuPowerModel power = [] {
     gpusim::FluidEngine engine;
     return power::ModelTrainer(engine)
         .train(workloads::rodinia_training_kernels())
         .model;
   }();
+  return power;
+}
+
+// One DecisionEngine::decide per iteration, as the daemon's batch thread
+// runs it: trained power model, CPU profiles, no prediction cache.
+void BM_Decide(benchmark::State& state, bool heavy) {
   const consolidate::BackendOptions defaults;
-  consolidate::DecisionEngine engine(gpusim::tesla_c1060(), power,
-                                     defaults.cpu_config, defaults.costs);
+  consolidate::DecisionEngine engine(gpusim::tesla_c1060(),
+                                     served_power_model(), defaults.cpu_config,
+                                     defaults.costs);
   const auto specs = batch_specs(heavy);
   const auto plan = batch_plan(specs);
   std::vector<std::optional<cpusim::CpuTask>> profiles;
@@ -159,6 +170,52 @@ void BM_Decide(benchmark::State& state, bool heavy) {
 }
 BENCHMARK_CAPTURE(BM_Decide, shard_light, false);
 BENCHMARK_CAPTURE(BM_Decide, shard_heavy, true);
+
+// One 16-request batch through a Backend built with `ewcsim serve`'s recipe,
+// from Backend::channel() to its last reply. Batches are seeded draws from
+// the mix (so shard_light's chunks rarely repeat, as in the daemon); the
+// first 16 run as warm-up before timing starts.
+void BM_BackendBatch(benchmark::State& state, bool heavy) {
+  constexpr int kBatch = 16;
+  const gpusim::FluidEngine engine;
+  const auto mix = mix_specs(heavy);
+  auto templates = consolidate::TemplateRegistry::paper_defaults();
+  consolidate::ConsolidationTemplate t;
+  t.name = "experiment_mix";
+  for (const auto& spec : mix) t.kernels.insert(spec.gpu.name);
+  templates.add(std::move(t));
+  consolidate::BackendOptions options;
+  options.batch_threshold = kBatch;
+  consolidate::Backend backend(engine, served_power_model(),
+                               std::move(templates), options);
+  for (const auto& spec : mix) backend.set_cpu_profile(spec.gpu.name, spec.cpu);
+
+  common::Rng rng(heavy ? 0xbe7c4ull : 0x119447ull);
+  std::vector<std::vector<consolidate::LaunchRequest>> batches(256);
+  for (auto& batch : batches) {
+    for (int i = 0; i < kBatch; ++i) {
+      consolidate::LaunchRequest req;
+      req.owner = "bench-s" + std::to_string(rng.uniform_int(0, 2));
+      req.desc = mix[rng.pick_index(mix.size())].gpu;
+      req.api_messages = 1;
+      batch.push_back(std::move(req));
+    }
+  }
+  auto replies = std::make_shared<consolidate::ReplyChannel>();
+  std::size_t next = 0;
+  const auto run_batch = [&] {
+    for (auto req : batches[next++ % batches.size()]) {
+      req.reply = replies;
+      backend.channel().send(std::move(req));
+    }
+    for (int i = 0; i < kBatch; ++i) benchmark::DoNotOptimize(replies->receive());
+  };
+  for (int i = 0; i < 16; ++i) run_batch();
+  for (auto _ : state) run_batch();
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK_CAPTURE(BM_BackendBatch, shard_light, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_BackendBatch, shard_heavy, true)->UseRealTime();
 
 void BM_PowerPredict(benchmark::State& state) {
   gpusim::FluidEngine engine;

@@ -30,10 +30,13 @@ class Rng {
     return d(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation; stddev 0 returns
+  /// `mean`. std::normal_distribution requires stddev > 0, so this scales a
+  /// standard normal draw instead: the same engine draws and, for stddev > 0,
+  /// the same bits as libstdc++'s `z * stddev + mean`.
   double gaussian(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<double> d(0.0, 1.0);
+    return mean + stddev * d(engine_);
   }
 
   /// Exponential inter-arrival time with the given rate (events / second).
