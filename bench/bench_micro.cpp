@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <ctime>
 #include <optional>
 #include <string>
 #include <vector>
@@ -171,10 +172,19 @@ void BM_Decide(benchmark::State& state, bool heavy) {
 BENCHMARK_CAPTURE(BM_Decide, shard_light, false);
 BENCHMARK_CAPTURE(BM_Decide, shard_heavy, true);
 
+double cpu_seconds(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 // One 16-request batch through a Backend built with `ewcsim serve`'s recipe,
 // from Backend::channel() to its last reply. Batches are seeded draws from
 // the mix (so shard_light's chunks rarely repeat, as in the daemon); the
-// first 16 run as warm-up before timing starts.
+// first 16 run as warm-up before timing starts. The wall time includes the
+// channel hand-offs between this thread and the Backend's batch thread, so
+// the batch thread's own cost is reported apart: `batch_thread_cpu_us` is
+// the process's CPU time minus this thread's, per batch.
 void BM_BackendBatch(benchmark::State& state, bool heavy) {
   constexpr int kBatch = 16;
   const gpusim::FluidEngine engine;
@@ -211,7 +221,14 @@ void BM_BackendBatch(benchmark::State& state, bool heavy) {
     for (int i = 0; i < kBatch; ++i) benchmark::DoNotOptimize(replies->receive());
   };
   for (int i = 0; i < 16; ++i) run_batch();
+  const double process0 = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
+  const double thread0 = cpu_seconds(CLOCK_THREAD_CPUTIME_ID);
   for (auto _ : state) run_batch();
+  const double batch_thread_cpu =
+      (cpu_seconds(CLOCK_PROCESS_CPUTIME_ID) - process0) -
+      (cpu_seconds(CLOCK_THREAD_CPUTIME_ID) - thread0);
+  state.counters["batch_thread_cpu_us"] =
+      1e6 * batch_thread_cpu / static_cast<double>(state.iterations());
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK_CAPTURE(BM_BackendBatch, shard_light, false)->UseRealTime();

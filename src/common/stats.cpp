@@ -25,15 +25,18 @@ double stddev(std::span<const double> xs) {
 
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  // Selects the two order statistics it interpolates instead of sorting:
+  // the values are the ones sorted[lo] and sorted[lo + 1] would hold.
+  std::vector<double> v(xs.begin(), xs.end());
+  if (p <= 0.0) return *std::min_element(v.begin(), v.end());
+  if (p >= 100.0) return *std::max_element(v.begin(), v.end());
+  double idx = p / 100.0 * static_cast<double>(v.size() - 1);
   std::size_t lo = static_cast<std::size_t>(idx);
   double frac = idx - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), at_lo, v.end());
+  if (lo + 1 >= v.size()) return *at_lo;
+  return *at_lo * (1.0 - frac) + *std::min_element(at_lo + 1, v.end()) * frac;
 }
 
 double relative_error(double predicted, double measured) {

@@ -84,7 +84,12 @@ class QueueSimulator {
   std::map<std::string, workloads::InstanceSpec> catalogue_;
   QueueSimOptions options_;
   // const run() populates the cache; SimCache synchronizes internally.
-  mutable std::unique_ptr<gpusim::RunResultCache> run_cache_;
+  /// What the replay reads of one FluidEngine run.
+  struct ExecCost {
+    double seconds = 0.0;
+    double joules = 0.0;
+  };
+  mutable std::unique_ptr<gpusim::SimCache<ExecCost>> run_cache_;
   std::string run_key_prefix_;  ///< device+energy portion, encoded once
 };
 

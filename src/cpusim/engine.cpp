@@ -26,7 +26,10 @@ CpuRunResult CpuEngine::run(const std::vector<CpuTask>& tasks) const {
   };
   std::vector<Live> live;
   live.reserve(tasks.size());
+  std::vector<double> rates;
+  rates.reserve(tasks.size());
   CpuRunResult result;
+  result.completions.reserve(tasks.size());
   for (const auto& t : tasks) {
     if (t.core_seconds <= kEpsWork) {
       result.completions.push_back(
@@ -63,7 +66,7 @@ CpuRunResult CpuEngine::run(const std::vector<CpuTask>& tasks) const {
 
     // Per-instance rates (core-seconds of work drained per wall second).
     double next_dt = std::numeric_limits<double>::infinity();
-    std::vector<double> rates(live.size());
+    rates.resize(live.size());
     for (std::size_t i = 0; i < live.size(); ++i) {
       const Live& l = live[i];
       const double share =

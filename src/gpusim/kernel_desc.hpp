@@ -119,6 +119,19 @@ struct KernelDesc {
 /// pattern: the models then compute bit-identical results for either.
 bool bit_identical(const KernelDesc& a, const KernelDesc& b);
 
+/// Adds `name` to `seen` unless an equal name is already there, and returns
+/// whether it was added (std::set::insert's `.second`). `seen` points into
+/// the caller's descs; a batch holds a handful of distinct kernel names, so
+/// a linear scan beats a tree of string copies.
+inline bool insert_distinct_name(std::vector<const std::string*>& seen,
+                                 const std::string& name) {
+  for (const std::string* s : seen) {
+    if (*s == name) return false;
+  }
+  seen.push_back(&name);
+  return true;
+}
+
 /// One runnable instance of a kernel (a user request in the ready state).
 struct KernelInstance {
   KernelDesc desc;

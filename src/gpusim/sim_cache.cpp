@@ -129,22 +129,41 @@ std::string config_key_prefix(const DeviceConfig& dev,
   return prefix;
 }
 
+void append_plan_key(std::string& key, const LaunchPlan& plan,
+                     std::string_view config_prefix, std::string_view tag,
+                     bool include_instance_ids) {
+  key.reserve(key.size() + 64 + config_prefix.size() +
+              160 * plan.instances.size());
+  key += tag;
+  key += '|';
+  key += config_prefix;
+  key += '|';
+  put(key, plan.reuse_constant_data);
+  // A run of bit-identical kernels is encoded once, after its length (and
+  // its instances' ids): batches repeat shapes, and maximal runs keep the
+  // encoding canonical.
+  const auto& insts = plan.instances;
+  for (std::size_t i = 0; i < insts.size();) {
+    std::size_t end = i + 1;
+    while (end < insts.size() && bit_identical(insts[end].desc, insts[i].desc)) {
+      ++end;
+    }
+    key += '|';
+    put(key, end - i);
+    if (include_instance_ids) {
+      for (std::size_t j = i; j < end; ++j) put(key, insts[j].instance_id);
+    }
+    append_kernel(key, insts[i].desc);
+    i = end;
+  }
+}
+
 PlanSignature plan_signature_with_prefix(const LaunchPlan& plan,
                                          std::string_view config_prefix,
                                          std::string_view tag,
                                          bool include_instance_ids) {
   PlanSignature sig;
-  sig.key.reserve(64 + config_prefix.size() + 160 * plan.instances.size());
-  sig.key += tag;
-  sig.key += '|';
-  sig.key += config_prefix;
-  sig.key += '|';
-  put(sig.key, plan.reuse_constant_data);
-  for (const auto& inst : plan.instances) {
-    sig.key += '|';
-    if (include_instance_ids) put(sig.key, inst.instance_id);
-    append_kernel(sig.key, inst.desc);
-  }
+  append_plan_key(sig.key, plan, config_prefix, tag, include_instance_ids);
   sig.hash = key_hash(sig.key);
   return sig;
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <set>
 #include <stdexcept>
 
 namespace ewc::perf {
@@ -12,7 +12,7 @@ namespace {
 
 /// One kernel's aggregate DRAM demand for the phased-sharing analysis.
 struct MemDemand {
-  std::string kernel;
+  const std::string* kernel = nullptr;  ///< name, owned by the plan
   double bytes = 0.0;     ///< device-wide bytes the kernel must move
   double cap_rate = 0.0;  ///< bytes/s its resident warps can pull (MLP cap)
   double eff = 1.0;       ///< stream's DRAM row-locality efficiency
@@ -35,14 +35,16 @@ std::vector<double> phased_memory_finish(const gpusim::DeviceConfig& dev,
     }
   }
   double t = 0.0;
+  std::vector<const std::string*> names;
+  std::vector<std::size_t> still;
   while (!active.empty()) {
     double total_cap = 0.0;
     double eff_weighted = 0.0;
-    std::set<std::string> names;
+    names.clear();
     for (std::size_t i : active) {
       total_cap += demands[i].cap_rate;
       eff_weighted += demands[i].cap_rate * demands[i].eff;
-      names.insert(demands[i].kernel);
+      gpusim::insert_distinct_name(names, *demands[i].kernel);
     }
     const double mixing = std::max(
         dev.min_mixing_efficiency,
@@ -58,7 +60,7 @@ std::vector<double> phased_memory_finish(const gpusim::DeviceConfig& dev,
       dt = std::min(dt, demands[i].bytes / (demands[i].cap_rate * scale));
     }
     t += dt;
-    std::vector<std::size_t> still;
+    still.clear();
     for (std::size_t i : active) {
       demands[i].bytes -= demands[i].cap_rate * scale * dt;
       if (demands[i].bytes <= 1e-6) {
@@ -67,7 +69,7 @@ std::vector<double> phased_memory_finish(const gpusim::DeviceConfig& dev,
         still.push_back(i);
       }
     }
-    active = std::move(still);
+    active.swap(still);
   }
   return finish;
 }
@@ -87,7 +89,7 @@ std::vector<MemDemand> plan_demands(const gpusim::DeviceConfig& dev,
         one_block_per_sm
             ? k.num_blocks
             : std::min(k.num_blocks, max_resident_blocks(dev, k) * dev.num_sms);
-    demands[i].kernel = k.name;
+    demands[i].kernel = &k.name;
     demands[i].bytes =
         k.warp_mem_bytes(dev) * warps * static_cast<double>(k.num_blocks);
     demands[i].cap_rate =
@@ -108,14 +110,14 @@ ConsolidationType ConsolidationModel::classify(const LaunchPlan& plan) const {
 }
 
 Duration ConsolidationModel::transfer_h2d(const LaunchPlan& plan) const {
-  std::set<std::string> constants_seen;
+  std::vector<const std::string*> constants_seen;
   Duration t = Duration::zero();
   for (const auto& inst : plan.instances) {
     double bytes = inst.desc.h2d_bytes.bytes();
     double cbytes = inst.desc.resources.constant_data.bytes();
     if (cbytes > 0.0) {
       if (!plan.reuse_constant_data ||
-          constants_seen.insert(inst.desc.name).second) {
+          gpusim::insert_distinct_name(constants_seen, inst.desc.name)) {
         bytes += cbytes;
       }
     }
@@ -212,35 +214,74 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
            sm.smem + f.smem <= dev_.shared_mem_per_sm;
   };
 
-  // Tournament (winner) tree over the SMs' solo-time loads: leaf s is SM s,
-  // and each inner node holds the lighter of its two children, the lower
-  // index on a tie (a left subtree always holds the lower indices). The root
-  // is the SM std::min_element over the loads would pick, and a load change
-  // replays the SM's log2(SMs) matches, branch-free. Padding leaves weigh
-  // +inf and never win.
-  std::size_t leaves = 1;
-  while (leaves < num_sms) leaves *= 2;
-  std::vector<double> load(leaves, std::numeric_limits<double>::infinity());
-  std::fill_n(load.begin(), num_sms, 0.0);
-  std::vector<std::uint32_t> winner(2 * leaves);
-  auto match = [&](std::size_t node) {
-    const std::uint32_t l = winner[2 * node];
-    const std::uint32_t r = winner[2 * node + 1];
-    winner[node] = load[r] < load[l] ? r : l;
+  // Overflow blocks go to the SM with the lightest solo-time load, the lower
+  // index on a tie. `order` keeps the SMs sorted by (load, index), so its
+  // head is that SM. Every overflow block of one instance weighs the same
+  // `solo`: with next = fl(load[order[0]] + solo), each of the r SMs lighter
+  // than `next` stays strictly lighter than every SM placed before it (their
+  // loads only rise to `next` or above), so the next r picks are exactly
+  // order[0..r) in turn. A round places them in one pass, in the same order
+  // the one-at-a-time argmin would, so every SM sees the same sequence of
+  // adds; then only the r grown SMs are merged back into the sorted tail.
+  std::vector<double> load(num_sms, 0.0);
+  const auto lighter = [&](std::uint32_t a, std::uint32_t b) {
+    return load[a] < load[b] || (load[a] == load[b] && a < b);
   };
-  for (std::size_t s = 0; s < leaves; ++s) {
-    winner[leaves + s] = static_cast<std::uint32_t>(s);
+  std::vector<std::uint32_t> order(num_sms);
+  for (std::size_t s = 0; s < num_sms; ++s) {
+    order[s] = static_cast<std::uint32_t>(s);
   }
-  for (std::size_t node = leaves - 1; node > 0; --node) match(node);
+  std::vector<std::uint32_t> grown(num_sms);
+  // order[0..m) holds SMs whose loads grew, order[m..) is still sorted:
+  // restore the sort over all of it.
+  const auto resettle = [&](std::size_t m) {
+    if (m == 0) return;
+    // A round's SMs grow in load order already: ~one comparison each.
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint32_t s = order[i];
+      std::size_t j = i;
+      for (; j > 0 && lighter(s, grown[j - 1]); --j) grown[j] = grown[j - 1];
+      grown[j] = s;
+    }
+    // Untouched SMs lighter than every grown one slide to the front as a
+    // block; the rest merge until the grown run is placed.
+    auto tail = std::partition_point(
+        order.begin() + static_cast<std::ptrdiff_t>(m), order.end(),
+        [&](std::uint32_t s) { return lighter(s, grown[0]); });
+    auto out = std::copy(order.begin() + static_cast<std::ptrdiff_t>(m),
+                         tail, order.begin());
+    for (std::size_t i = 0; i < m;) {
+      if (tail != order.end() && lighter(*tail, grown[i])) {
+        *out++ = *tail++;
+      } else {
+        *out++ = grown[i++];
+      }
+    }
+  };
+  // Resident placements land round-robin, anywhere in `order`; they are
+  // merged back in once, before the next overflow block needs the head.
+  std::vector<std::uint32_t> unsorted;
+  std::vector<char> is_unsorted(num_sms, 0);
+  const auto sync_order = [&] {
+    if (unsorted.empty()) return;
+    std::size_t back = num_sms;
+    for (std::size_t j = num_sms; j-- > 0;) {
+      if (!is_unsorted[order[j]]) order[--back] = order[j];
+    }
+    std::copy(unsorted.begin(), unsorted.end(), order.begin());
+    for (std::uint32_t s : unsorted) is_unsorted[s] = 0;
+    resettle(unsorted.size());
+    unsorted.clear();
+  };
 
   // Residency only grows during the replay, so a footprint that fit no SM
   // never fits later, and neither does any footprint covering it.
   std::vector<Footprint> failed;
-  std::vector<int> block_sm;  ///< assigned SM per block, in grid order
-  block_sm.reserve(static_cast<std::size_t>(std::max(plan.total_blocks(), 0)));
+  /// Blocks per (instance, SM), for the critical SM's block list.
+  std::vector<int> blocks_on(plan.instances.size() * num_sms, 0);
   int rr = 0;
-  for (const auto& inst : plan.instances) {
-    const auto& k = inst.desc;
+  for (std::size_t i = 0; i < plan.instances.size(); ++i) {
+    const auto& k = plan.instances[i].desc;
     const double solo = analytic_.solo_block_time(k).seconds();
     const double warps = k.warps_per_block(dev_);
     const double comp = k.warp_compute_cycles(dev_) * warps;
@@ -252,38 +293,73 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
         static_cast<std::int64_t>(k.resources.registers_per_thread) *
             k.threads_per_block,
         k.resources.shared_mem_per_block};
-    bool may_fit = std::none_of(
+    int* on = blocks_on.data() + i * num_sms;
+    const auto place = [&](std::size_t s) {
+      load[s] += solo;
+      sms[s].comp_cycles += comp;
+      sms[s].stall_seconds += stall;
+      on[s] += 1;
+    };
+
+    const bool may_fit = std::none_of(
         failed.begin(), failed.end(),
         [&](const Footprint& f) { return fp.covers(f); });
-    for (int b = 0; b < k.num_blocks; ++b) {
+    int b = 0;
+    for (; may_fit && b < k.num_blocks; ++b) {
       int chosen = -1;
-      for (int probe = 0; may_fit && probe < dev_.num_sms; ++probe) {
+      for (int probe = 0; probe < dev_.num_sms; ++probe) {
         const int s = (rr + probe) % dev_.num_sms;
         if (fits(sms[static_cast<std::size_t>(s)], fp)) {
           chosen = s;
           break;
         }
       }
-      if (chosen >= 0) {
-        SmLoad& sm = sms[static_cast<std::size_t>(chosen)];
-        sm.threads += fp.threads;
-        sm.nblocks += 1;
-        sm.regs += fp.regs;
-        sm.smem += fp.smem;
-        rr = (chosen + 1) % dev_.num_sms;
-      } else {
-        if (may_fit) failed.push_back(fp);
-        may_fit = false;
-        chosen = static_cast<int>(winner[1]);
+      if (chosen < 0) {
+        failed.push_back(fp);
+        break;
       }
       const auto c = static_cast<std::size_t>(chosen);
-      load[c] += solo;
-      sms[c].comp_cycles += comp;
-      sms[c].stall_seconds += stall;
-      for (std::size_t node = (leaves + c) / 2; node > 0; node /= 2) {
-        match(node);
+      SmLoad& sm = sms[c];
+      sm.threads += fp.threads;
+      sm.nblocks += 1;
+      sm.regs += fp.regs;
+      sm.smem += fp.smem;
+      rr = (chosen + 1) % dev_.num_sms;
+      place(c);
+      if (!is_unsorted[c]) {
+        is_unsorted[c] = 1;
+        unsorted.push_back(static_cast<std::uint32_t>(c));
       }
-      block_sm.push_back(chosen);
+    }
+
+    auto left = static_cast<std::size_t>(k.num_blocks - b);
+    if (left > 0) sync_order();
+    while (left > 0) {
+      const double next = load[order[0]] + solo;
+      const std::size_t cap = std::min(left, num_sms);
+      std::size_t r = 0;
+      bool run_sorted = true;
+      for (; r < cap; ++r) {
+        const std::uint32_t s = order[r];
+        if (!(load[s] < next)) break;
+        place(s);
+        // Rounding is monotone, so the run can only fall out of order
+        // where two grown loads round to the same value.
+        if (r > 0 && s < order[r - 1] && load[s] == load[order[r - 1]]) {
+          run_sorted = false;
+        }
+      }
+      if (r == 0) {
+        // `solo` does not move the lightest load (zero-work blocks, or a
+        // weight below its ulp): it stays the head for every block left.
+        for (; left > 0; --left) place(order[0]);
+        break;
+      }
+      left -= r;
+      // Usually the grown run is still lighter than the untouched tail.
+      if (!run_sorted || (r < num_sms && !lighter(order[r - 1], order[r]))) {
+        resettle(r);
+      }
     }
   }
 
@@ -298,13 +374,12 @@ ConsolidationPrediction ConsolidationModel::predict_type2(
       critical = static_cast<int>(s);
     }
   }
-  std::size_t block = 0;
   for (std::size_t i = 0; i < plan.instances.size(); ++i) {
-    for (int b = 0; b < plan.instances[i].desc.num_blocks; ++b) {
-      if (block_sm[block++] == critical) {
-        pred.critical_sm_blocks.push_back(static_cast<int>(i));
-      }
-    }
+    pred.critical_sm_blocks.insert(
+        pred.critical_sm_blocks.end(),
+        static_cast<std::size_t>(
+            blocks_on[i * num_sms + static_cast<std::size_t>(critical)]),
+        static_cast<int>(i));
   }
 
   // ---- memory side: phased device-level bandwidth sharing ----
