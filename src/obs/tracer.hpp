@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ewc::obs {
@@ -132,10 +133,11 @@ class Tracer {
 /// Inherits the thread's RequestScope id unless one is set explicitly.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string name, std::uint64_t request_id = 0)
+  /// The name is copied only when tracing is on.
+  explicit ScopedSpan(std::string_view name, std::uint64_t request_id = 0)
       : active_(Tracer::enabled()) {
     if (!active_) return;
-    ev_.name = std::move(name);
+    ev_.name = name;
     ev_.request_id = request_id ? request_id : Tracer::current_request_id();
     ev_.trace_id = Tracer::current_trace_id();
     ev_.parent_span_id = Tracer::current_parent_span_id();

@@ -139,7 +139,7 @@ TEST(SimCache, HitIsBitIdenticalToFreshRun) {
   const auto sig = gpusim::plan_signature(plan, engine.device(),
                                           &engine.energy_config(), "run",
                                           true);
-  gpusim::RunResultCache cache(8);
+  gpusim::SimCache<gpusim::RunResult> cache(8);
   EXPECT_FALSE(cache.get(sig).has_value());
   const auto fresh = engine.run(plan);
   cache.put(sig, fresh);
@@ -264,6 +264,48 @@ TEST_F(CachedDecisionTest, DecideIsDeterministicUnderPoolAndCache) {
   // Distinct shapes: the 3-instance consolidated plan + 2 distinct singles
   // (the repeated encryption instance shares one entry).
   EXPECT_EQ(s.misses, 3u);
+}
+
+TEST_F(CachedDecisionTest, CandidateEntriesKeyTheCpuProfiles) {
+  // The same kernels with different CPU work, or a missing CPU profile, are
+  // different candidates: each decision must match an uncached engine's.
+  consolidate::DecisionEngine plain(engine_->device(), *model_, {}, {});
+  consolidate::DecisionEngine cached(engine_->device(), *model_, {}, {});
+  cached.enable_prediction_cache(64);
+  gpusim::LaunchPlan plan;
+  std::vector<std::optional<cpusim::CpuTask>> base;
+  int id = 0;
+  for (const auto& spec :
+       {workloads::encryption_12k(), workloads::sorting_6k()}) {
+    plan.instances.push_back(gpusim::KernelInstance{spec.gpu, id, ""});
+    cpusim::CpuTask task = spec.cpu;
+    task.instance_id = id++;
+    base.emplace_back(std::move(task));
+  }
+  const auto overhead = common::Duration::from_seconds(0.25);
+  for (int variant : {0, 1, 2, 0, 1, 2}) {
+    auto profiles = base;
+    if (variant == 1) profiles[1]->core_seconds *= 4.0;
+    if (variant == 2) profiles[0].reset();
+    const auto want = plain.decide(plan, profiles, overhead);
+    const auto got = cached.decide(plan, profiles, overhead);
+    EXPECT_EQ(got.chosen, want.chosen) << "variant " << variant;
+    ASSERT_EQ(got.estimates.size(), want.estimates.size());
+    for (std::size_t i = 0; i < got.estimates.size(); ++i) {
+      EXPECT_EQ(got.estimates[i].time.seconds(),
+                want.estimates[i].time.seconds());
+      EXPECT_EQ(got.estimates[i].energy.joules(),
+                want.estimates[i].energy.joules());
+      EXPECT_EQ(got.estimates[i].feasible, want.estimates[i].feasible);
+      EXPECT_EQ(got.estimates[i].note, want.estimates[i].note);
+    }
+  }
+  // Three candidates and two kernel shapes missed once each. The first
+  // round's later candidates hit both shapes; the second round hit the
+  // three candidates.
+  const auto s = cached.prediction_cache_stats();
+  EXPECT_EQ(s.misses, 5u);
+  EXPECT_EQ(s.hits, 3u + 4u);
 }
 
 // ---------------- queue simulator: parity and speedup ----------------

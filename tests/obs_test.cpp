@@ -60,6 +60,27 @@ TEST(Histogram, RecordAndSnapshot) {
   EXPECT_DOUBLE_EQ(s.mean(), 8.0 / 3.0);
 }
 
+TEST(Histogram, BatchRecordMatchesRecordingEachValue) {
+  // Values below min_value and overflow, added to a sum large enough that
+  // its rounding depends on the order the terms arrive in.
+  const std::vector<double> values = {1.0,  1.0, 0.1, 3.0, 1e9,  1e-3, 1e16,
+                                      1.0, -2.0, 3.5, 0.1, 2e-9, 7.25};
+  obs::HistogramParams p;
+  p.min_value = 1.0;
+  p.growth = 2.0;
+  p.buckets = 8;
+  obs::Histogram one_by_one(p), batched(p);
+  one_by_one.record(1e16);
+  batched.record(1e16);
+  for (double v : values) one_by_one.record(v);
+  batched.record(values);
+  const auto a = one_by_one.snapshot();
+  const auto b = batched.snapshot();
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.sum, b.sum);
+}
+
 TEST(Histogram, PercentileInterpolatesInsideBucket) {
   obs::HistogramParams p;
   p.min_value = 1.0;
